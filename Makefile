@@ -11,7 +11,7 @@ BENCH ?= .
 BENCHTIME ?= 2s
 # The benchmarks CI smokes on every push: the headline number of each
 # subsystem plus the compiled-vs-reference pairs this PR introduced.
-SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreSymmetry|ExploreIncremental
+SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreIncremental
 # BASELINE is the perf-gate reference. It must be a like-for-like snapshot:
 # per-op numbers from a 1-iteration smoke run include un-amortised setup, so
 # they can only be compared against another 1-iteration run — never against
@@ -75,11 +75,11 @@ bench-compare:
 	@echo "comparing against $(BASELINE)"
 	$(GO) run ./cmd/benchjson -compare -threshold-pct $(THRESHOLD_PCT) -metrics '$(COMPARE_METRICS)' $(BASELINE) BENCH_ci.json
 
-# explore-bench runs just the exploration-strategy benchmarks (symmetry
-# quotient vs full, cold vs incremental regeneration) with allocation stats —
-# the quick loop for tuning the internal/explore subsystem.
+# explore-bench runs just the regeneration benchmark (cold generation vs the
+# metadata relabel) with allocation stats — the quick loop for tuning the
+# internal/explore subsystem.
 explore-bench:
-	$(GO) test -run='^$$' -bench='ExploreSymmetry|ExploreIncremental' -benchmem -benchtime=$(BENCHTIME) .
+	$(GO) test -run='^$$' -bench='ExploreIncremental' -benchmem -benchtime=$(BENCHTIME) .
 
 # test-props soaks the property suites with more rounds per property than the
 # bounded default that plain `go test ./...` runs (ROUNDS=64, override at

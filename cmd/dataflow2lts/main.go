@@ -55,7 +55,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	ordering := fs.String("ordering", "sequential", "flow ordering: sequential or data-driven")
 	verbose := fs.Bool("verbose-states", false, "list state variables inside LTS nodes")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0 = one per CPU); the output is identical for any count")
-	symmetry := fs.Bool("symmetry", false, "explore one canonical representative per orbit of interchangeable actors; the output is identical either way")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,7 +67,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := core.Options{Workers: *workers, Explore: core.ExploreOptions{Symmetry: *symmetry}}
+	opts := core.Options{Workers: *workers}
 	if *ordering == "data-driven" {
 		opts.FlowOrdering = core.OrderDataDriven
 	}

@@ -64,8 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	profilePath := fs.String("profile", "", "path to the monitored user's profile (JSON)")
 	duration := fs.Duration("duration", 0, "how long to serve before exiting (0 = until interrupted)")
 	workers := fs.Int("workers", 0, "parallel LTS-generation workers (0 = one per CPU)")
-	symmetry := fs.Bool("symmetry", false, "symmetry-reduced LTS generation (identical output, fewer explored states)")
-	incremental := fs.Bool("incremental", false, "regenerate incrementally from the engine's previous exploration when models differ only in metadata or policy")
+	incremental := fs.Bool("incremental", false, "regenerate from the engine's previous model by relabelling when models differ only in metadata")
 	monitorShards := fs.Int("monitor-shards", 0, "monitor lock stripes for per-user state (0 = one per CPU)")
 	eventsPath := fs.String("events", "", "path to a JSON array of events to replay through the monitor at startup")
 	modelCache := fs.String("model-cache", "", "directory of the persistent compiled-model cache (empty = off)")
@@ -84,8 +83,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// With -model-cache, a warm cache entry makes startup skip LTS generation
 	// and load the compiled model straight from disk.
 	engine, err := privascope.NewEngine(privascope.EngineOptions{
-		Generate: privascope.GenerateOptions{Workers: *workers,
-			Explore: privascope.ExploreOptions{Symmetry: *symmetry}},
+		Generate:    privascope.GenerateOptions{Workers: *workers},
 		CacheDir:    *modelCache,
 		Incremental: *incremental,
 	})

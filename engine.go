@@ -7,7 +7,6 @@ import (
 
 	"privascope/internal/core"
 	"privascope/internal/dataflow"
-	"privascope/internal/explore"
 	"privascope/internal/flight"
 	"privascope/internal/modelstore"
 	"privascope/internal/risk"
@@ -31,15 +30,14 @@ type EngineOptions struct {
 	// engines and future processes share it. Corrupt or stale artifacts are
 	// detected (checksummed, fingerprint-verified) and regenerated.
 	CacheDir string
-	// Incremental makes the engine keep the exploration trace of its most
-	// recent generation and regenerate the next model incrementally from it
+	// Incremental makes the engine keep its most recently generated privacy
+	// model and regenerate the next model from it
 	// (core.Generator.RegenerateContext): when the new model differs from the
-	// previous one only in metadata or access policy, exploration replays the
-	// stored trace and recomputes just the affected potential reads; any
-	// structural change falls back to a full generation. The result is
-	// byte-identical to a cold generation either way. Intended for
-	// edit-analyse loops where consecutive models are near-identical
-	// (policy tuning, what-if analysis).
+	// previous one only in metadata (names, descriptions, purposes), the
+	// previous LTS is relabelled without exploring; policy and structural
+	// changes fall back to a full generation. The result is byte-identical
+	// to a cold generation either way. Intended for edit-analyse loops where
+	// consecutive models are near-identical.
 	Incremental bool
 }
 
@@ -73,17 +71,10 @@ type Engine struct {
 	models      flight.Group[string, *core.PrivacyLTS]
 	store       *modelstore.Store
 	generator   *core.Generator
-	lastGen     atomic.Pointer[lastGeneration]
+	lastGen     atomic.Pointer[core.PrivacyLTS]
 	generations atomic.Int64
 	loads       atomic.Int64
 	incremental atomic.Int64
-}
-
-// lastGeneration is the replay seed kept by an incremental engine: the most
-// recently generated model together with its exploration trace.
-type lastGeneration struct {
-	p     *core.PrivacyLTS
-	trace *explore.Result
 }
 
 // NewEngine builds an engine, validating the risk configuration up front and
@@ -171,24 +162,19 @@ func (e *Engine) model(ctx context.Context, m *Model) (p *PrivacyModel, cacheabl
 }
 
 // generate runs one instrumented LTS generation. With
-// EngineOptions.Incremental it regenerates from the engine's last exploration
-// trace where the model delta allows, and reseeds the trace either way.
+// EngineOptions.Incremental it regenerates from the engine's last generated
+// model where the model delta allows, and keeps the result as the next seed.
 func (e *Engine) generate(ctx context.Context, m *Model) (*PrivacyModel, error) {
 	e.generations.Add(1)
 	if e.opts.Incremental {
-		var prev *core.PrivacyLTS
-		var trace *explore.Result
-		if seed := e.lastGen.Load(); seed != nil {
-			prev, trace = seed.p, seed.trace
-		}
-		p, newTrace, report, err := e.generator.RegenerateContext(ctx, prev, trace, m)
+		p, report, err := e.generator.RegenerateContext(ctx, e.lastGen.Load(), m)
 		if err != nil {
 			return nil, fmt.Errorf("privascope: generating privacy model: %w", err)
 		}
 		if !report.Fallback {
 			e.incremental.Add(1)
 		}
-		e.lastGen.Store(&lastGeneration{p: p, trace: newTrace})
+		e.lastGen.Store(p)
 		return p, nil
 	}
 	p, err := core.GenerateWithOptionsContext(ctx, m, e.opts.Generate)
@@ -284,8 +270,8 @@ func (e *Engine) Generations() int64 { return e.generations.Load() }
 func (e *Engine) Loads() int64 { return e.loads.Load() }
 
 // IncrementalHits returns how many generations an incremental engine served
-// by replaying its previous exploration trace instead of exploring from
-// scratch. Always zero when EngineOptions.Incremental is off.
+// by relabelling its previous model instead of exploring from scratch.
+// Always zero when EngineOptions.Incremental is off.
 func (e *Engine) IncrementalHits() int64 { return e.incremental.Load() }
 
 // CachedModels returns the number of distinct model fingerprints currently

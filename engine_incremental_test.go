@@ -11,49 +11,59 @@ import (
 )
 
 // TestEngineIncrementalRegeneration: an incremental engine fed a sequence of
-// near-identical models must replay its previous exploration for the
-// policy-only edit (IncrementalHits counts it) and still produce exactly the
-// assessment and report a cold engine produces for the same model.
+// near-identical models must relabel its previous model for the
+// metadata-only edit (IncrementalHits counts it), fall back without a hit
+// for the read-grant revocation, and still produce exactly the assessment
+// and report a cold engine produces for each model.
 func TestEngineIncrementalRegeneration(t *testing.T) {
 	ctx := context.Background()
 	profile := casestudy.PatientProfile()
 
-	before := casestudy.Surgery()
-	after := casestudy.Surgery()
-	after.Policy = after.Policy.(*accesscontrol.ACL).WithoutActor(
+	relabelled := casestudy.Surgery()
+	relabelled.Flows[0].Purpose = "relabelled purpose"
+	revoked := casestudy.Surgery()
+	revoked.Policy = revoked.Policy.(*accesscontrol.ACL).WithoutActor(
 		casestudy.ActorResearcher, casestudy.StoreAnonEHR)
 
 	inc := privascope.MustEngine(privascope.EngineOptions{Incremental: true})
-	if _, err := inc.Assess(ctx, before, profile); err != nil {
+	if _, err := inc.Assess(ctx, casestudy.Surgery(), profile); err != nil {
 		t.Fatal(err)
 	}
 	if got := inc.IncrementalHits(); got != 0 {
 		t.Fatalf("IncrementalHits after first (seedless) generation = %d, want 0", got)
 	}
-	got, err := inc.Assess(ctx, after, profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := inc.IncrementalHits(); hits != 1 {
-		t.Fatalf("IncrementalHits after policy-delta generation = %d, want 1", hits)
-	}
-	if gens := inc.Generations(); gens != 2 {
-		t.Fatalf("Generations = %d, want 2 (both models generated, one via replay)", gens)
-	}
-
 	cold := privascope.MustEngine(privascope.EngineOptions{})
-	want, err := cold.Assess(ctx, after, profile)
-	if err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		name     string
+		model    *privascope.Model
+		wantHits int64
+	}{
+		{"purpose relabel", relabelled, 1},
+		{"read-grant revocation", revoked, 1},
+	} {
+		got, err := inc.Assess(ctx, step.model, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := inc.IncrementalHits(); hits != step.wantHits {
+			t.Fatalf("%s: IncrementalHits = %d, want %d", step.name, hits, step.wantHits)
+		}
+		want, err := cold.Assess(ctx, step.model, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := mustJSON(t, got.Assessment), mustJSON(t, want.Assessment); g != w {
+			t.Fatalf("%s: incremental assessment differs from cold assessment:\n%s\nvs\n%s", step.name, g, w)
+		}
+		if g, w := mustJSON(t, got.Report), mustJSON(t, want.Report); g != w {
+			t.Fatalf("%s: incremental report differs from cold report:\n%s\nvs\n%s", step.name, g, w)
+		}
+		if g, w := mustJSON(t, got.PrivacyModel), mustJSON(t, want.PrivacyModel); g != w {
+			t.Fatalf("%s: incremental privacy model JSON differs from cold generation", step.name)
+		}
 	}
-	if g, w := mustJSON(t, got.Assessment), mustJSON(t, want.Assessment); g != w {
-		t.Fatalf("incremental assessment differs from cold assessment:\n%s\nvs\n%s", g, w)
-	}
-	if g, w := mustJSON(t, got.Report), mustJSON(t, want.Report); g != w {
-		t.Fatalf("incremental report differs from cold report:\n%s\nvs\n%s", g, w)
-	}
-	if g, w := mustJSON(t, got.PrivacyModel), mustJSON(t, want.PrivacyModel); g != w {
-		t.Fatalf("incremental privacy model JSON differs from cold generation")
+	if gens := inc.Generations(); gens != 3 {
+		t.Fatalf("Generations = %d, want 3 (every model generated, one via relabel)", gens)
 	}
 }
 

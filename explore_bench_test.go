@@ -1,6 +1,6 @@
 // Benchmarks and acceptance tests for the internal/explore subsystem: the
-// arena-backed frontier allocator, symmetry-reduced exploration, and
-// incremental regeneration from a previous exploration trace.
+// arena-backed frontier allocator and incremental regeneration by relabelling
+// the previous model.
 
 package privascope_test
 
@@ -11,7 +11,6 @@ import (
 	"privascope"
 	"privascope/internal/accesscontrol"
 	"privascope/internal/core"
-	"privascope/internal/dataflow"
 	"privascope/internal/synth"
 )
 
@@ -39,45 +38,12 @@ func TestExploreAllocReduction(t *testing.T) {
 		allocs, baselineAllocs, float64(baselineAllocs)/allocs)
 }
 
-// BenchmarkExploreSymmetry compares plain exploration against the
-// symmetry-reduced strategy on a model with four interchangeable replicas.
-// Both produce byte-identical output; the symmetry run explores only the
-// canonical quotient (reported as canonical_states) before expanding it back.
-func BenchmarkExploreSymmetry(b *testing.B) {
-	model := synth.SymmetricModel(synth.SymmetricSpec{Replicas: 4, Fields: 2})
-	for _, sym := range []struct {
-		name string
-		on   bool
-	}{{"full", false}, {"symmetry", true}} {
-		b.Run(sym.name, func(b *testing.B) {
-			gen := core.NewGenerator(core.Options{Workers: 1,
-				Explore: core.ExploreOptions{Symmetry: sym.on}})
-			p, _, report, err := gen.GenerateTracedContext(context.Background(), model)
-			if err != nil {
-				b.Fatal(err)
-			}
-			states := p.Stats().States
-			b.ReportMetric(float64(states), "states")
-			if sym.on {
-				b.ReportMetric(float64(report.CanonicalStates), "canonical_states")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := gen.GenerateTracedContext(context.Background(), model); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExploreIncremental compares a cold regeneration against the two
-// incremental tiers on a 15625-state model. A metadata edit (flow purpose
+// BenchmarkExploreIncremental compares a cold generation against the
+// metadata relabel on a 15625-state model. A metadata edit (flow purpose
 // relabel) leaves the state space, edge set and vectors provably unchanged,
-// so regeneration reuses the previous trace wholesale and only remaps labels;
-// a read-policy edit (one reader revoked) forces a driver replay that serves
-// every expansion from the trace but still re-resolves each successor.
+// so regeneration shares the previous model and only remaps labels. The cold
+// run generates the read-policy edit (one reader revoked), which is also what
+// a policy delta costs: it falls back to cold generation.
 func BenchmarkExploreIncremental(b *testing.B) {
 	before := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
 	afterMeta := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
@@ -87,32 +53,29 @@ func BenchmarkExploreIncremental(b *testing.B) {
 
 	gen := core.NewGenerator(core.Options{Workers: 1})
 	ctx := context.Background()
-	prev, trace, _, err := gen.GenerateTracedContext(ctx, before)
+	prev, err := gen.GenerateContext(ctx, before)
 	if err != nil {
 		b.Fatal(err)
 	}
 
-	run := func(after *dataflow.Model, incremental bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var report *core.ExploreReport
-				var err error
-				if incremental {
-					_, _, report, err = gen.RegenerateContext(ctx, prev, trace, after)
-				} else {
-					_, _, report, err = gen.GenerateTracedContext(ctx, after)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if incremental && report.Fallback {
-					b.Fatalf("replay fell back: %s", report.FallbackReason)
-				}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := gen.GenerateContext(ctx, afterPolicy); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("cold", run(afterPolicy, false))
-	b.Run("replay-metadata", run(afterMeta, true))
-	b.Run("replay-policy", run(afterPolicy, true))
+	})
+	b.Run("replay-metadata", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, report, err := gen.RegenerateContext(ctx, prev, afterMeta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if report.Fallback {
+				b.Fatalf("relabel fell back: %s", report.FallbackReason)
+			}
+		}
+	})
 }

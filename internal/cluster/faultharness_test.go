@@ -40,13 +40,17 @@ func faultSchedule(seed int64) fault.Config {
 // faultRouterConfig pairs the schedule with a retry budget that outlasts any
 // plausible consecutive-failure run (the partition window is 3 ordinals; the
 // independent per-request fault probability is ~0.28), so no frame sequence
-// is ever abandoned and the no-loss comparison below is meaningful.
+// is ever abandoned and the no-loss comparison below is meaningful. The
+// budget must also outlast a crashed victim's server shutdown (about a
+// second when connections are open), during which its frames are retried
+// against a refused port until the eviction marks the sender dead; the
+// 250ms cap gives seconds, and an eviction interrupts the sleep.
 func faultRouterConfig(seed int64, transport http.RoundTripper) RouterConfig {
 	return RouterConfig{
 		BatchEvents:       4,
 		MaxRetries:        40,
 		BackoffBase:       100 * time.Microsecond,
-		BackoffMax:        2 * time.Millisecond,
+		BackoffMax:        250 * time.Millisecond,
 		BackoffJitterSeed: seed,
 		HTTPClient:        &http.Client{Transport: transport},
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -232,5 +233,49 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 	}
 	if stats.Dropped != 0 {
 		t.Fatalf("dropped %d frames", stats.Dropped)
+	}
+}
+
+// TestRouterRegisterSplitsLargeBatches registers more than MaxFrameBytes of
+// profiles on one node: the router must split them into bodies the node's
+// bounded reader accepts, and every user must end up registered.
+func TestRouterRegisterSplitsLargeBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("registers tens of thousands of profiles")
+	}
+	c, err := StartLocal(surgeryModel(t), 1, NodeConfig{}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+
+	base := casestudy.PatientProfile()
+	one, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := (MaxFrameBytes + MaxFrameBytes/4) / len(one)
+	profiles := make([]risk.UserProfile, n)
+	for i := range profiles {
+		profiles[i] = base
+		profiles[i].ID = fmt.Sprintf("register-user-%06d", i)
+	}
+	if total, err := json.Marshal(profiles); err != nil || len(total) <= MaxFrameBytes {
+		t.Fatalf("fixture encodes to %d bytes (err %v), want more than %d", len(total), err, MaxFrameBytes)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	users := c.Nodes[0].Monitor().Users()
+	if len(users) != n {
+		t.Fatalf("node registered %d users, want %d", len(users), n)
+	}
+	for i, id := range users {
+		if want := profiles[i].ID; id != want {
+			t.Fatalf("registered user %d = %q, want %q", i, id, want)
+		}
 	}
 }

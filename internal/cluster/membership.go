@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"time"
 
 	"privascope/internal/runtime"
@@ -21,7 +22,8 @@ import (
 //
 //  1. Seal: flush every live sender (cut partial frames, wait until every cut
 //     frame is accepted or dropped). For an eviction the dead node's sender is
-//     instead marked dead, and its undelivered frames are parked.
+//     instead marked dead — before the lock is taken, so sends blocked on its
+//     full queue park their frames — and its undelivered frames are parked.
 //  2. Handoff: export the moved users' snapshots from their old owners and
 //     import them on the new ones (the caller-supplied callback).
 //  3. Swap: install the new ring and increment the epoch.
@@ -106,18 +108,31 @@ func (r *Router) RemoveNode(ctx context.Context, name string, handoff func(oldRi
 // this makes eviction lose nothing and duplicate nothing, whatever the crash
 // timing.
 func (r *Router) EvictNode(ctx context.Context, name string, handoff func(oldRing, newRing *Ring) error, cursor func(stream string) int64) error {
-	r.memberMu.Lock()
-	defer r.memberMu.Unlock()
+	// Mark the sender dead before taking the exclusive lock: a flush or send
+	// blocked on the dead node's full frame queue holds the shared lock, and
+	// only the dead signal (or the sender exhausting its retries, which
+	// drops frames) releases it.
+	r.memberMu.RLock()
 	s, ok := r.senders[name]
+	r.memberMu.RUnlock()
 	if !ok {
 		return fmt.Errorf("cluster: node %q not in the ring", name)
 	}
 	oldRing := r.ring.Load()
+	if _, err := oldRing.WithoutNode(name); err != nil {
+		return err
+	}
+	s.markDead()
+	r.memberMu.Lock()
+	defer r.memberMu.Unlock()
+	if r.senders[name] != s {
+		return fmt.Errorf("cluster: node %q not in the ring", name)
+	}
+	oldRing = r.ring.Load()
 	newRing, err := oldRing.WithoutNode(name)
 	if err != nil {
 		return err
 	}
-	s.markDead()
 	if err := r.waitSettled(ctx, s); err != nil {
 		return err
 	}
@@ -144,6 +159,9 @@ func (r *Router) EvictNode(ctx context.Context, name string, handoff func(oldRin
 	s.mu.Lock()
 	parked := s.parked
 	s.parked = nil
+	// Frames parked by a blocked cut can precede older frames the sender
+	// parked afterwards; re-route in stream order to keep per-user order.
+	sort.Slice(parked, func(i, j int) bool { return parked[i].idx < parked[j].idx })
 	buffered := s.buf
 	s.buf = nil
 	s.mu.Unlock()

@@ -218,11 +218,14 @@ func TestClusterEvictFailover(t *testing.T) {
 	stream := synth.RandomEventStream(rng, p, users, 24)
 	direct := directMonitor(t, profiles, stream)
 
+	// The retry budget (about 2.5s) must outlast the victim's server
+	// shutdown (about a second when connections are open): the frames in
+	// flight are retried until the eviction parks them.
 	c, err := StartLocal(p, 3, NodeConfig{}, RouterConfig{
 		BatchEvents: 5,
-		MaxRetries:  6,
-		BackoffBase: 100 * time.Microsecond,
-		BackoffMax:  time.Millisecond,
+		MaxRetries:  8,
+		BackoffBase: 50 * time.Millisecond,
+		BackoffMax:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +270,67 @@ func TestClusterEvictFailover(t *testing.T) {
 		t.Fatal("eviction imported no snapshots with the failover reason")
 	}
 	if err := c.Router.SendBatch(ctx, stream[q3:]); err != nil {
+		t.Fatal(err)
+	}
+	requireClusterMatchesDirect(t, c, direct, users)
+	if stats := c.Router.Stats(); stats.Dropped != 0 {
+		t.Fatalf("router dropped %d sequences during failover: %+v", stats.Dropped, stats)
+	}
+}
+
+// TestClusterEvictWhileSendBlocked crashes a node while a send is blocked on
+// its full frame queue, behind a sender that is retrying the dead node with
+// a long backoff: the eviction must not wait for those retries to run out,
+// and the blocked events must be re-routed, not dropped.
+func TestClusterEvictWhileSendBlocked(t *testing.T) {
+	p := surgeryModel(t)
+	profiles := membershipProfiles(12)
+	users := make([]string, len(profiles))
+	for i, pr := range profiles {
+		users[i] = pr.ID
+	}
+	stream := synth.RandomEventStream(rand.New(rand.NewSource(19)), p, users, 12)
+	direct := directMonitor(t, profiles, stream)
+
+	// One event per frame and a 20s retry budget: the victim's first frame
+	// is in flight, the second fills the queue, the third blocks the send.
+	c, err := StartLocal(p, 2, NodeConfig{}, RouterConfig{
+		BatchEvents: 1,
+		MaxRetries:  20,
+		BackoffBase: time.Second,
+		BackoffMax:  time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := c.Router.Register(ctx, profiles); err != nil {
+		t.Fatal(err)
+	}
+	victim := c.Router.Ring().Owner(users[0])
+	stopCtx, stopCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer stopCancel()
+	for i, n := range c.Nodes {
+		if n.Name() == victim {
+			if err := c.Servers[i].Stop(stopCtx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- c.Router.SendBatch(ctx, stream) }()
+	time.Sleep(100 * time.Millisecond) // let the send block on the full queue
+
+	start := time.Now()
+	if err := c.EvictNode(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("eviction waited %v for the dead node's retries", took)
+	}
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
 	requireClusterMatchesDirect(t, c, direct, users)

@@ -384,6 +384,13 @@ func (r *Router) cutLocked(ctx context.Context, s *nodeSender) error {
 	select {
 	case s.frames <- f:
 		return nil
+	case <-s.dead:
+		// The queue is full behind a sender that is retrying a dead node;
+		// park the frame for the eviction to re-route instead of waiting.
+		s.parked = append(s.parked, f)
+		r.pending.Add(-1)
+		s.pending.Add(-1)
+		return nil
 	case <-ctx.Done():
 		r.pending.Add(-1)
 		s.pending.Add(-1)
@@ -607,7 +614,9 @@ func (r *Router) timerSleep(d time.Duration, dead <-chan struct{}) bool {
 	}
 }
 
-// Register sends each profile to its owner node's /register endpoint.
+// Register sends each profile to its owner node's /register endpoint. Each
+// node's profiles go out as JSON arrays of at most MaxFrameBytes, the bound
+// the node reads a register body through.
 func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) error {
 	r.memberMu.RLock()
 	defer r.memberMu.RUnlock()
@@ -618,24 +627,47 @@ func (r *Router) Register(ctx context.Context, profiles []risk.UserProfile) erro
 		byNode[owner] = append(byNode[owner], p)
 	}
 	for name, group := range byNode {
-		payload, err := json.Marshal(group)
-		if err != nil {
-			return fmt.Errorf("cluster: encoding profiles: %w", err)
+		body := []byte{'['}
+		for _, p := range group {
+			enc, err := json.Marshal(p)
+			if err != nil {
+				return fmt.Errorf("cluster: encoding profiles: %w", err)
+			}
+			if len(enc)+2 > MaxFrameBytes {
+				return fmt.Errorf("cluster: profile %q encodes to %d bytes, over the %d-byte register bound", p.ID, len(enc), MaxFrameBytes)
+			}
+			if len(body)+len(enc)+1 > MaxFrameBytes {
+				if err := r.postRegister(ctx, name, append(body[:len(body)-1], ']')); err != nil {
+					return err
+				}
+				body = []byte{'['}
+			}
+			body = append(append(body, enc...), ',')
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
-		if err != nil {
-			return err
+		if len(body) > 1 {
+			if err := r.postRegister(ctx, name, append(body[:len(body)-1], ']')); err != nil {
+				return err
+			}
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return fmt.Errorf("cluster: registering on %q: %w", name, err)
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("cluster: registering on %q: %s: %s", name, resp.Status, bytes.TrimSpace(body))
-		}
+	}
+	return nil
+}
+
+// postRegister posts one JSON array of profiles to the node's /register.
+func (r *Router) postRegister(ctx context.Context, name string, payload []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.senders[name].url+"/register", bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return fmt.Errorf("cluster: registering on %q: %w", name, err)
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: registering on %q: %s: %s", name, resp.Status, bytes.TrimSpace(body))
 	}
 	return nil
 }

@@ -58,10 +58,31 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 		p.stores[id] = sm
 	}
 
+	// Potential-read labels come from per-worker caches, so equal labels may
+	// carry different pointers depending on scheduling. Intern them here, in
+	// edge order, so the first occurrence wins and the label object graph
+	// (which modelstore.Encode dedups by pointer) is the same for every
+	// worker count.
+	interned := make(map[*TransitionLabel]*TransitionLabel)
+	byContent := make(map[string]*TransitionLabel)
 	bulk := make([]lts.BulkEdge, len(res.Edges))
 	for i := range res.Edges {
 		e := &res.Edges[i]
 		bulk[i] = lts.BulkEdge{From: e.From, To: e.To, Label: e.Label}
+		tl, ok := e.Label.(*TransitionLabel)
+		if !ok || !tl.Potential {
+			continue
+		}
+		c, seen := interned[tl]
+		if !seen {
+			keyBuf = appendPotentialKey(keyBuf[:0], tl)
+			if c, seen = byContent[string(keyBuf)]; !seen {
+				c = tl
+				byContent[string(keyBuf)] = c
+			}
+			interned[tl] = c
+		}
+		bulk[i].Label = c
 	}
 	graph, err := lts.FromParts(ids, 0, bulk)
 	if err != nil {
@@ -69,6 +90,20 @@ func assemble(ctx context.Context, p *PrivacyLTS, cm *compiledModel, res *explor
 	}
 	p.Graph = graph
 	return nil
+}
+
+// appendPotentialKey appends the content of a potential-read label — the
+// only fields emitPotential sets — as a length-prefixed byte key.
+func appendPotentialKey(b []byte, tl *TransitionLabel) []byte {
+	b = binary.AppendUvarint(b, uint64(len(tl.Datastore)))
+	b = append(b, tl.Datastore...)
+	b = binary.AppendUvarint(b, uint64(len(tl.Actor)))
+	b = append(b, tl.Actor...)
+	for _, f := range tl.Fields {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return b
 }
 
 // fillVectors computes every state's public vector into the shared slab,

@@ -4,47 +4,24 @@ import (
 	"privascope/internal/explore"
 )
 
-// Rule tags recorded into explore.Edge.Rule, the expander-defined edge
-// provenance the incremental replayer keys on:
-//
-//   - a declared flow is tagged with its global flow index (>= 0);
-//   - a potential read of store si by reader ri (index into the compiled
-//     store's sorted reader list) is tagged -(1 + si<<16 + ri).
-//
-// The reader's actor is additionally recoverable from the edge label, which
-// is what replay uses across compilations (reader indices shift when grants
-// change; actor names do not).
-func encodePotentialRule(si, ri int) int32 { return -int32(1 + si<<16 + ri) }
-
-func decodePotentialRule(rule int32) (si, ri int) {
-	v := int(-rule - 1)
-	return v >> 16, v & 0xffff
-}
-
-// expandScratch is the per-worker scratch of every expander: reusable field
-// and key buffers, the potential-read label cache (labels are deduplicated by
-// (store, reader, field subset), so steady-state expansion allocates no
-// labels), and the symmetry canonicalisation buffers when a plan is active.
+// expandScratch is the per-worker scratch of the expander: reusable field
+// and key buffers and the potential-read label cache (labels are
+// deduplicated by (store, reader, field subset), so steady-state expansion
+// allocates no labels). Which worker's cached pointer an edge gets depends on
+// scheduling; assemble interns the labels afterwards so the generated LTS has
+// one pointer per label content for every worker count.
 type expandScratch struct {
 	fields []string
 	keyBuf []byte
 	labels map[string]*TransitionLabel
-
-	canon      *canonScratch
-	canonState []uint64
-	mapped     []mappedRule
 }
 
 // scratchOf returns the worker's scratch, creating it on first use.
-func scratchOf(sink *explore.Sink, cm *compiledModel, plan *symPlan) *expandScratch {
+func scratchOf(sink *explore.Sink) *expandScratch {
 	if sc, ok := sink.Scratch.(*expandScratch); ok {
 		return sc
 	}
 	sc := &expandScratch{labels: make(map[string]*TransitionLabel)}
-	if plan != nil {
-		sc.canon = plan.newScratch()
-		sc.canonState = make([]uint64, cm.codec.totalWords)
-	}
 	sink.Scratch = sc
 	return sc
 }
@@ -75,15 +52,10 @@ func applyFlowInto(cm *compiledModel, next packedState, cf *compiledFlow) {
 }
 
 // emitFlow emits the declared flow's successor of ps to the sink.
-func emitFlow(cm *compiledModel, ps packedState, cf *compiledFlow, sink *explore.Sink, sc *expandScratch, plan *symPlan) {
+func emitFlow(cm *compiledModel, ps packedState, cf *compiledFlow, sink *explore.Sink) {
 	next := packedState(sink.Copy(ps))
 	applyFlowInto(cm, next, cf)
-	if plan != nil {
-		c := sink.Alloc()
-		plan.canonicalizeInto(next, c, sc.canon)
-		next = c
-	}
-	sink.Emit(next, int32(cf.flowIdx), cf.label, false)
+	sink.Emit(next, cf.label, false)
 }
 
 // emitPotential emits the potential read of store si by reader ri, if the
@@ -91,7 +63,7 @@ func emitFlow(cm *compiledModel, ps packedState, cf *compiledFlow, sink *explore
 // has not identified). The label is served from the worker's cache keyed by
 // (store, reader, field subset), matching NewTransitionLabel's output
 // byte-for-byte.
-func emitPotential(cm *compiledModel, ps packedState, si, ri int, terminal bool, sink *explore.Sink, sc *expandScratch, plan *symPlan) {
+func emitPotential(cm *compiledModel, ps packedState, si, ri int, terminal bool, sink *explore.Sink, sc *expandScratch) {
 	cs := &cm.stores[si]
 	r := &cs.readers[ri]
 	sc.fields = sc.fields[:0]
@@ -124,29 +96,22 @@ func emitPotential(cm *compiledModel, ps packedState, si, ri int, terminal bool,
 			next[rf.has.word] |= rf.has.mask
 		}
 	}
-	if plan != nil {
-		c := sink.Alloc()
-		plan.canonicalizeInto(next, c, sc.canon)
-		next = c
-	}
-	sink.Emit(next, encodePotentialRule(si, ri), label, terminal)
+	sink.Emit(next, label, terminal)
 }
 
 // expandInto enumerates every successor of ps into the sink in the
 // deterministic order of the original in-core BFS: declared flows (services
 // in sorted order under OrderSequential, global flow order under
 // OrderDataDriven), then potential reads (stores in DatastoreIDs order,
-// readers in sorted actor order). With a non-nil plan, every successor is
-// canonicalised before being emitted (the quotient exploration of symmetry
-// reduction).
-func expandInto(cm *compiledModel, ps packedState, sink *explore.Sink, sc *expandScratch, mode PotentialReadMode, plan *symPlan) {
+// readers in sorted actor order).
+func expandInto(cm *compiledModel, ps packedState, sink *explore.Sink, sc *expandScratch, mode PotentialReadMode) {
 	if cm.codec.ordering == OrderDataDriven {
 		for i := range cm.flows {
 			cf := &cm.flows[i]
 			if cm.codec.fired(ps, cf.flowIdx) || !cm.enabled(cf, ps) {
 				continue
 			}
-			emitFlow(cm, ps, cf, sink, sc, plan)
+			emitFlow(cm, ps, cf, sink)
 		}
 	} else {
 		for svcIdx := range cm.services {
@@ -159,7 +124,7 @@ func expandInto(cm *compiledModel, ps packedState, sink *explore.Sink, sc *expan
 			if !cm.enabled(cf, ps) {
 				continue
 			}
-			emitFlow(cm, ps, cf, sink, sc, plan)
+			emitFlow(cm, ps, cf, sink)
 		}
 	}
 
@@ -180,13 +145,12 @@ func expandInto(cm *compiledModel, ps packedState, sink *explore.Sink, sc *expan
 			continue
 		}
 		for ri := range cs.readers {
-			emitPotential(cm, ps, si, ri, terminal, sink, sc, plan)
+			emitPotential(cm, ps, si, ri, terminal, sink, sc)
 		}
 	}
 }
 
-// coldExpander is the plain full-exploration expander: every state is
-// expanded against the compiled model.
+// coldExpander expands every state against the compiled model.
 type coldExpander struct {
 	cm   *compiledModel
 	mode PotentialReadMode
@@ -196,5 +160,5 @@ func (e *coldExpander) Words() int        { return e.cm.codec.totalWords }
 func (e *coldExpander) Initial() []uint64 { return e.cm.codec.newState() }
 
 func (e *coldExpander) Expand(ps []uint64, sink *explore.Sink) {
-	expandInto(e.cm, ps, sink, scratchOf(sink, e.cm, nil), e.mode, nil)
+	expandInto(e.cm, ps, sink, scratchOf(sink), e.mode)
 }

@@ -69,45 +69,6 @@ type Options struct {
 	// generation concurrently, and their discoveries are merged
 	// deterministically in frontier order.
 	Workers int
-	// Explore selects the exploration strategy (see internal/explore); the
-	// zero value is plain full exploration. Every strategy produces the same
-	// PrivacyLTS byte for byte — the knobs only change how much work it takes.
-	Explore ExploreOptions
-}
-
-// ExploreOptions are the exploration-strategy knobs of Options.
-type ExploreOptions struct {
-	// Symmetry enables symmetry reduction: actors that are exact structural
-	// replicas of each other (same flow shapes, same policy grants) are
-	// detected, the state space is first explored modulo permutations of each
-	// replica group, and the full LTS is then regenerated from that quotient.
-	// When the model has no provable symmetry the option is a no-op.
-	Symmetry bool
-}
-
-// ExploreReport describes how a generation run explored the state space; it
-// is diagnostic output, not part of the LTS.
-type ExploreReport struct {
-	// Mode is "full", "symmetry", or "replay" (incremental regeneration).
-	Mode string
-	// States is the number of states of the generated LTS; StatesExplored is
-	// the number of state expansions the final pass performed.
-	States         int
-	StatesExplored int
-
-	// Symmetry-mode fields: the quotient size and the orbit structure.
-	CanonicalStates int
-	Orbits          int
-	OrbitActors     int
-
-	// Replay-mode fields: how many states could not reuse the previous run's
-	// successors and fell back to cold expansion, and what the model delta
-	// looked like.
-	ColdExpanded    int
-	Fallback        bool
-	FallbackReason  string
-	DeltaKind       string
-	AffectedReaders int
 }
 
 func (o Options) withDefaults() Options {
@@ -174,8 +135,7 @@ func (g *Generator) Generate(m *dataflow.Model) (*PrivacyLTS, error) {
 // tables), each frontier generation is expanded by Options.Workers goroutines
 // into per-worker arenas, and the discoveries are merged on one goroutine in
 // frontier order, which makes state numbering and transition order
-// deterministic regardless of the worker count — and regardless of the
-// exploration strategy selected by Options.Explore.
+// deterministic regardless of the worker count.
 //
 // Cancellation is observed at state granularity: every exploration worker
 // polls ctx before expanding each frontier state and the merge loop polls it
@@ -183,16 +143,14 @@ func (g *Generator) Generate(m *dataflow.Model) (*PrivacyLTS, error) {
 // ctx.Err() promptly, with every worker goroutine joined before the call
 // returns (none leak).
 func (g *Generator) GenerateContext(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, error) {
-	p, _, _, err := g.generate(ctx, m)
-	return p, err
-}
-
-// GenerateTracedContext is GenerateContext, additionally returning the
-// exploration trace (the input of incremental regeneration, see
-// RegenerateContext) and a report describing how the state space was
-// explored.
-func (g *Generator) GenerateTracedContext(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, *explore.Result, *ExploreReport, error) {
-	return g.generate(ctx, m)
+	pre, err := g.prepare(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.explore(ctx, pre); err != nil {
+		return nil, err
+	}
+	return pre.p, nil
 }
 
 // prepared carries the outcome of the shared generation preamble: the
@@ -233,11 +191,6 @@ func (g *Generator) prepare(m *dataflow.Model) (*prepared, error) {
 	return &prepared{p: p, cm: compileModel(m, policy, vocab, g.opts.FlowOrdering)}, nil
 }
 
-// exploreConfig is the driver configuration implied by the options.
-func (g *Generator) exploreConfig() explore.Config {
-	return explore.Config{Workers: g.opts.Workers, MaxStates: g.opts.MaxStates}
-}
-
 // wrapExploreErr maps driver errors onto the package's public errors.
 func (g *Generator) wrapExploreErr(err error) error {
 	if errors.Is(err, explore.ErrStateLimit) {
@@ -246,32 +199,15 @@ func (g *Generator) wrapExploreErr(err error) error {
 	return err
 }
 
-func (g *Generator) generate(ctx context.Context, m *dataflow.Model) (*PrivacyLTS, *explore.Result, *ExploreReport, error) {
-	pre, err := g.prepare(m)
+// explore runs the cold exploration of a prepared model and assembles the
+// result into pre.p.
+func (g *Generator) explore(ctx context.Context, pre *prepared) error {
+	cfg := explore.Config{Workers: g.opts.Workers, MaxStates: g.opts.MaxStates}
+	res, err := explore.Run(ctx, cfg, &coldExpander{cm: pre.cm, mode: g.opts.PotentialReads})
 	if err != nil {
-		return nil, nil, nil, err
+		return g.wrapExploreErr(err)
 	}
-	var (
-		res    *explore.Result
-		report *ExploreReport
-	)
-	if g.opts.Explore.Symmetry {
-		res, report, err = g.runSymmetry(ctx, pre.cm)
-	} else {
-		res, err = explore.Run(ctx, g.exploreConfig(), &coldExpander{cm: pre.cm, mode: g.opts.PotentialReads})
-	}
-	if err != nil {
-		return nil, nil, nil, g.wrapExploreErr(err)
-	}
-	if report == nil {
-		report = &ExploreReport{Mode: "full"}
-	}
-	report.States = res.NumStates
-	report.StatesExplored = res.Explored
-	if err := assemble(ctx, pre.p, pre.cm, res, g.opts.Workers); err != nil {
-		return nil, nil, nil, err
-	}
-	return pre.p, res, report, nil
+	return assemble(ctx, pre.p, pre.cm, res, g.opts.Workers)
 }
 
 // deriveAction applies the paper's extraction rules to a flow.

@@ -21,13 +21,12 @@ const (
 	// differ — names, descriptions, purposes, schema categories.
 	DeltaMetadata
 	// DeltaPolicy: the structure is identical but access-control answers
-	// changed; AffectedReaders lists the (datastore, actor) pairs whose read
-	// access differs. Exploration can be replayed, recomputing only the
-	// potential reads of affected readers.
+	// changed. Potential reads and "could identify" bits may differ, so the
+	// previous LTS cannot be relabelled; regenerate from scratch.
 	DeltaPolicy
 	// DeltaUnsafe: the structure itself changed (actors, stores, schema
-	// fields, services, flows, or a non-enumerable policy type), so no reuse
-	// of a previous exploration can be proven safe; regenerate from scratch.
+	// fields, services, flows, or a non-enumerable policy type); regenerate
+	// from scratch.
 	DeltaUnsafe
 )
 
@@ -47,25 +46,11 @@ func (k DeltaKind) String() string {
 	}
 }
 
-// ReaderKey names one (datastore, actor) potential-read relationship.
-type ReaderKey struct {
-	Datastore, Actor string
-}
-
 // Delta is the result of diffing two models.
 type Delta struct {
 	Kind DeltaKind
-	// Changes lists every access-control answer that differs, over Scope.
-	Changes []accesscontrol.AccessChange
-	// AffectedReaders lists the distinct (datastore, actor) pairs with a
-	// changed read permission — the potential-read tables that must be
-	// recomputed during replay.
-	AffectedReaders []ReaderKey
 	// Reasons explains DeltaUnsafe classifications.
 	Reasons []string
-	// Scope is the (actors × datastores × fields) universe the policies were
-	// compared over; empty for unsafe deltas.
-	Scope accesscontrol.Scope
 }
 
 // Diff classifies the difference between two models. The structural parts —
@@ -159,30 +144,10 @@ func Diff(before, after *dataflow.Model) *Delta {
 	for _, id := range after.DatastoreIDs() {
 		scope.Datastores[id] = fields
 	}
-	d.Scope = scope
-	d.Changes = accesscontrol.Diff(policyOrEmpty(before.Policy), policyOrEmpty(after.Policy), scope)
-
-	seen := make(map[ReaderKey]bool)
-	for _, c := range d.Changes {
-		if c.Perm != accesscontrol.PermissionRead {
-			continue
-		}
-		k := ReaderKey{Datastore: c.Datastore, Actor: c.Actor}
-		if !seen[k] {
-			seen[k] = true
-			d.AffectedReaders = append(d.AffectedReaders, k)
-		}
-	}
-	sort.Slice(d.AffectedReaders, func(i, j int) bool {
-		a, b := d.AffectedReaders[i], d.AffectedReaders[j]
-		if a.Datastore != b.Datastore {
-			return a.Datastore < b.Datastore
-		}
-		return a.Actor < b.Actor
-	})
+	changes := accesscontrol.Diff(policyOrEmpty(before.Policy), policyOrEmpty(after.Policy), scope)
 
 	switch {
-	case len(d.Changes) > 0:
+	case len(changes) > 0:
 		d.Kind = DeltaPolicy
 	case metadataEqual(before, after):
 		d.Kind = DeltaIdentical
@@ -190,68 +155,6 @@ func Diff(before, after *dataflow.Model) *Delta {
 		d.Kind = DeltaMetadata
 	}
 	return d
-}
-
-// ApplyPolicy patches the before-policy with the delta's access changes,
-// yielding a policy that answers like the after-policy over the delta's
-// scope. It is the round-trip half of Diff, used to validate deltas.
-func (d *Delta) ApplyPolicy(before accesscontrol.Policy) accesscontrol.Policy {
-	p := &patchedPolicy{base: before, overrides: make(map[patchKey]bool, len(d.Changes))}
-	for _, c := range d.Changes {
-		p.overrides[patchKey{actor: c.Actor, store: c.Datastore, field: c.Field, perm: c.Perm}] = c.After
-	}
-	return p
-}
-
-type patchKey struct {
-	actor, store, field string
-	perm                accesscontrol.Permission
-}
-
-// patchedPolicy overlays point access changes on a base policy.
-type patchedPolicy struct {
-	base      accesscontrol.Policy
-	overrides map[patchKey]bool
-}
-
-func (p *patchedPolicy) Allows(actor, datastore, field string, perm accesscontrol.Permission) bool {
-	if v, ok := p.overrides[patchKey{actor: actor, store: datastore, field: field, perm: perm}]; ok {
-		return v
-	}
-	if p.base == nil {
-		return false
-	}
-	return p.base.Allows(actor, datastore, field, perm)
-}
-
-func (p *patchedPolicy) Explain(actor, datastore, field string, perm accesscontrol.Permission) accesscontrol.Decision {
-	allowed := p.Allows(actor, datastore, field, perm)
-	return accesscontrol.Decision{Allowed: allowed, Reason: "patched policy delta"}
-}
-
-func (p *patchedPolicy) ActorsWith(datastore, field string, perm accesscontrol.Permission) []string {
-	set := make(map[string]bool)
-	if p.base != nil {
-		for _, a := range p.base.ActorsWith(datastore, field, perm) {
-			set[a] = true
-		}
-	}
-	for k, after := range p.overrides {
-		if k.store != datastore || k.field != field || k.perm != perm {
-			continue
-		}
-		if after {
-			set[k.actor] = true
-		} else {
-			delete(set, k.actor)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // collectPolicyActors adds every actor the policy names to the set,

@@ -39,18 +39,14 @@ type Expander interface {
 	Expand(ps []uint64, sink *Sink)
 }
 
-// Edge is one discovered transition. Rule is an expander-defined tag
-// identifying which model rule produced the edge; replay-style expanders use
-// it to reuse a previous run's work.
+// Edge is one discovered transition.
 type Edge struct {
 	From, To int32
-	Rule     int32
 	Label    lts.Label
 }
 
-// Result is the complete outcome of a BFS run: the dense state slab, the
-// edge list in deterministic discovery order, and the lookup structures a
-// later run needs to replay it (the trace of the exploration).
+// Result is the complete outcome of a BFS run: the dense state slab and the
+// edge list in deterministic discovery order.
 type Result struct {
 	// Words is the packed-state width; state id occupies
 	// States[id*Words : (id+1)*Words].
@@ -59,11 +55,6 @@ type Result struct {
 	States    []uint64
 	// Edges is grouped by From in non-decreasing order (frontier order).
 	Edges []Edge
-	// Explored counts the states that were expanded (entered a frontier).
-	Explored int
-
-	expanded []uint64 // bitset: state entered a frontier
-	table    *stateTable
 }
 
 // StateWords returns the packed words of state id, aliasing the slab.
@@ -72,62 +63,20 @@ func (r *Result) StateWords(id int32) []uint64 {
 	return r.States[base : base+r.Words]
 }
 
-// Lookup finds the ID of a packed state recorded in the result.
-func (r *Result) Lookup(ps []uint64) (int32, bool) {
-	return r.table.lookup(r.States, r.Words, HashWords(ps), ps)
-}
-
-// WasExpanded reports whether the state's successors were enumerated during
-// the run (states discovered as terminal are recorded but never expanded).
-func (r *Result) WasExpanded(id int32) bool {
-	return r.expanded[int(id)/64]&(1<<(uint(id)%64)) != 0
-}
-
-func (r *Result) markExpanded(id int32) {
-	r.expanded[int(id)/64] |= 1 << (uint(id) % 64)
-}
-
-// WithEdges returns a shallow clone of the result that shares the state
-// slab, lookup table and expansion bitset but carries the given edge list.
-// Replay uses it to re-label a wholesale-reused trace without re-running the
-// exploration; edges must describe the same transitions (From/To/Rule) as the
-// original for the clone to stay a valid trace.
-func (r *Result) WithEdges(edges []Edge) *Result {
-	c := *r
-	c.Edges = edges
-	return &c
-}
-
-// EdgeIndex returns per-state offsets into Edges: the edges leaving state s
-// are Edges[idx[s]:idx[s+1]]. Valid because Edges is grouped by From.
-func (r *Result) EdgeIndex() []int32 {
-	idx := make([]int32, r.NumStates+1)
-	e := 0
-	for s := 0; s < r.NumStates; s++ {
-		idx[s] = int32(e)
-		for e < len(r.Edges) && r.Edges[e].From == int32(s) {
-			e++
-		}
-	}
-	idx[r.NumStates] = int32(len(r.Edges))
-	return idx
-}
-
 // candidate is one successor discovered during an expansion phase; words
-// point into a worker arena (or a borrowed slab) and are only valid until the
-// next generation begins.
+// point into a worker arena and are only valid until the next generation
+// begins.
 type candidate struct {
 	words    []uint64
 	label    lts.Label
 	hash     uint64
 	knownID  int32 // >= 0 when the state was already registered before this generation
-	rule     int32
 	terminal bool
 }
 
 // Sink collects the successors of the state currently being expanded. One
-// sink exists per worker; Copy/Alloc carve per-candidate state buffers out of
-// the worker's arena.
+// sink exists per worker; Copy carves per-candidate state buffers out of the
+// worker's arena.
 type Sink struct {
 	arena wordArena
 	cands []candidate
@@ -135,14 +84,10 @@ type Sink struct {
 	slab  []uint64 // snapshot of Result.States for this generation
 	table *stateTable
 
-	// Scratch is per-worker storage for the Expander (label caches,
-	// canonicalisation buffers, ...). The driver never touches it.
+	// Scratch is per-worker storage for the Expander (label caches, field
+	// buffers, ...). The driver never touches it.
 	Scratch any
 }
-
-// Alloc returns an uninitialised state buffer from the worker arena. The
-// caller must overwrite every word before emitting it.
-func (s *Sink) Alloc() []uint64 { return s.arena.alloc(s.words) }
 
 // Copy returns an arena-backed copy of ps, ready to be mutated into a
 // successor state.
@@ -152,19 +97,18 @@ func (s *Sink) Copy(ps []uint64) []uint64 {
 	return dst
 }
 
-// Emit records one successor. words may be arena-backed (Copy/Alloc) or
-// borrowed from any stable slab (replay reuses a previous run's states); the
+// Emit records one successor. words must come from Copy; the
 // driver copies the words of newly discovered states into its own slab. The
 // successor is pre-resolved against the visited table here, on the worker,
 // so the serial merge phase only re-hashes same-generation duplicates.
-func (s *Sink) Emit(words []uint64, rule int32, label lts.Label, terminal bool) {
-	h := HashWords(words)
+func (s *Sink) Emit(words []uint64, label lts.Label, terminal bool) {
+	h := hashWords(words)
 	id, ok := s.table.lookup(s.slab, s.words, h, words)
 	if !ok {
 		id = -1
 	}
 	s.cands = append(s.cands, candidate{
-		words: words, label: label, hash: h, knownID: id, rule: rule, terminal: terminal,
+		words: words, label: label, hash: h, knownID: id, terminal: terminal,
 	})
 }
 
@@ -200,15 +144,15 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 		maxStates = int(^uint(0) >> 1)
 	}
 
-	res := &Result{Words: w, table: newStateTable()}
+	res := &Result{Words: w}
+	table := newStateTable()
 	init := x.Initial()
 	if len(init) != w {
 		return nil, errors.New("explore: initial state width does not match the expander's")
 	}
 	res.States = append(res.States, init...)
 	res.NumStates = 1
-	res.expanded = append(res.expanded, 0)
-	res.table.insert(HashWords(init), 0)
+	table.insert(hashWords(init), 0)
 
 	sinks := make([]*Sink, workers)
 	for i := range sinks {
@@ -231,7 +175,7 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 				results[i] = nil
 			}
 		}
-		if err := expandPhase(ctx, sinks, res, frontier, results, x); err != nil {
+		if err := expandPhase(ctx, sinks, res, table, frontier, results, x); err != nil {
 			return nil, err
 		}
 
@@ -249,32 +193,24 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 				if id < 0 {
 					// Not registered before this generation; it may have been
 					// discovered earlier in this same merge.
-					if found, ok := res.table.lookup(res.States, w, c.hash, c.words); ok {
+					if found, ok := table.lookup(res.States, w, c.hash, c.words); ok {
 						id = found
 					} else {
 						id = int32(res.NumStates)
 						res.States = append(res.States, c.words...)
 						res.NumStates++
-						if int(id)/64 >= len(res.expanded) {
-							res.expanded = append(res.expanded, 0)
-						}
-						res.table.insert(c.hash, id)
+						table.insert(c.hash, id)
 						isNew = true
 					}
 				}
-				res.Edges = append(res.Edges, Edge{From: from, To: id, Rule: c.rule, Label: c.label})
+				res.Edges = append(res.Edges, Edge{From: from, To: id, Label: c.label})
 				if isNew && !c.terminal {
 					next = append(next, id)
 				}
 			}
 		}
-		res.Explored += len(frontier)
-		for _, id := range next {
-			res.markExpanded(id)
-		}
 		frontier, next = next, frontier
 	}
-	res.markExpanded(0)
 	return res, nil
 }
 
@@ -282,7 +218,7 @@ func Run(ctx context.Context, cfg Config, x Expander) (*Result, error) {
 // receives the candidates of frontier[i] as a sub-slice of the expanding
 // worker's candidate buffer. Workers poll ctx before each expansion and the
 // pool is always joined before returning.
-func expandPhase(ctx context.Context, sinks []*Sink, res *Result, frontier []int32, results [][]candidate, x Expander) error {
+func expandPhase(ctx context.Context, sinks []*Sink, res *Result, table *stateTable, frontier []int32, results [][]candidate, x Expander) error {
 	workers := len(sinks)
 	if workers > len(frontier) {
 		workers = len(frontier)
@@ -291,7 +227,7 @@ func expandPhase(ctx context.Context, sinks []*Sink, res *Result, frontier []int
 	slab := res.States
 	if workers <= 1 {
 		s := sinks[0]
-		s.begin(slab, res.table)
+		s.begin(slab, table)
 		for i, id := range frontier {
 			if i&cancelCheckMask == 0 {
 				if err := ctx.Err(); err != nil {
@@ -308,7 +244,7 @@ func expandPhase(ctx context.Context, sinks []*Sink, res *Result, frontier []int
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		s := sinks[wi]
-		s.begin(slab, res.table)
+		s.begin(slab, table)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,32 +1,25 @@
-// Package explore owns the exploration strategy of privacy-LTS generation:
-// a deterministic, level-synchronised parallel BFS driver over packed uint64
-// state encodings, with three cooperating layers on top of the plain
-// breadth-first search:
+// Package explore owns the exploration of privacy-LTS generation: one
+// deterministic, level-synchronised parallel BFS driver over packed uint64
+// state encodings, plus the model differ that decides whether a previous
+// generation can be reused.
+//
+//   - the driver: an Expander supplies the initial state and the successor
+//     enumeration; Run expands each frontier generation on Config.Workers
+//     goroutines and merges the discoveries on one goroutine in frontier
+//     order, so state numbering, edge order and the final Result are
+//     identical for every worker count — the property the rest of the
+//     repository (digest tests, modelstore artifacts, the cluster
+//     determinism harness) relies on.
 //
 //   - arena/slab allocation: frontier candidate states and transition buffers
 //     come from per-worker reusable arenas whose lifetime is one BFS
 //     generation; survivors are copied into a single retained state slab, so
 //     steady-state exploration performs no per-candidate heap allocation.
 //
-//   - symmetry reduction: DetectOrbits finds same-shaped actors (identical
-//     flow structure and policy grants under renaming), so a caller can
-//     explore one canonical representative per orbit and expand the quotient
-//     back to the full, byte-identical LTS (package core implements the
-//     canonicalisation against its compiled bit masks and verifies every
-//     orbit against them before trusting it).
+//   - Diff: classifies the delta between two data-flow models as identical,
+//     metadata, policy or unsafe. Only identical and metadata deltas leave
+//     the explored structure untouched; package core relabels the previous
+//     LTS for those and explores cold for everything else.
 //
-//   - incremental regeneration: Diff classifies the delta between two
-//     data-flow models; when the delta provably cannot change the explored
-//     structure (metadata-only, or read-permission changes under terminal
-//     potential reads), a caller can replay a previous exploration Result
-//     state-by-state instead of re-expanding, recomputing only the affected
-//     (datastore, reader) transitions, with a full-regeneration fallback
-//     whenever safety cannot be proven.
-//
-// The driver is deliberately agnostic about what the packed words mean: an
-// Expander supplies the initial state and the successor enumeration, and the
-// driver guarantees that state numbering, edge order and the final Result are
-// identical for every worker count — the property the rest of the repository
-// (digest tests, modelstore artifacts, the cluster determinism harness)
-// relies on.
+// The driver is deliberately agnostic about what the packed words mean.
 package explore

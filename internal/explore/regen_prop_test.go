@@ -1,8 +1,8 @@
-// Property tests of the exploration strategies: symmetry reduction and
-// incremental regeneration are pure optimisations, so for every drawable
-// scenario their output must be byte-identical to the plain cold generation.
-// The tests live in the external test package so they can drive the
-// strategies through internal/core, the subsystem's only real caller.
+// Property tests of incremental regeneration: relabelling the previous model
+// is a pure optimisation and falling back is always safe, so for every
+// drawable scenario the output must be byte-identical to the plain cold
+// generation. The tests live in the external test package so they can drive
+// regeneration through internal/core, the subsystem's only real caller.
 
 package explore_test
 
@@ -52,145 +52,127 @@ func drawMode(rng *rand.Rand) core.PotentialReadMode {
 	}[rng.Intn(3)]
 }
 
-// TestPropSymmetryDigest: symmetry-reduced exploration must be invisible in
-// the output. For any model — fully symmetric, partially symmetric or
-// asymmetric — and any worker count, the quotient-expanded LTS is
-// byte-identical to the plain exploration's, and the canonical state count
-// never exceeds the full one.
-func TestPropSymmetryDigest(t *testing.T) {
-	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
-		var m *dataflow.Model
-		if rng.Intn(2) == 0 {
-			m = synth.SymmetricModel(synth.SymmetricSpec{
-				Replicas: 2 + rng.Intn(3), Fields: 1 + rng.Intn(2),
-			})
-		} else {
-			m, _ = modelPair(seed)
-		}
-		mode := drawMode(rng)
-		workers := []int{1, 2, 4}[rng.Intn(3)]
-
-		plain, err := core.GenerateWithOptions(m, core.Options{PotentialReads: mode, Workers: workers})
-		if err != nil {
-			return fmt.Errorf("plain generate: %w", err)
-		}
-		gen := core.NewGenerator(core.Options{
-			PotentialReads: mode, Workers: workers,
-			Explore: core.ExploreOptions{Symmetry: true},
-		})
-		reduced, _, report, err := gen.GenerateTracedContext(t.Context(), m)
-		if err != nil {
-			return fmt.Errorf("symmetry generate: %w", err)
-		}
-		pd, err := digest(plain)
-		if err != nil {
-			return err
-		}
-		rd, err := digest(reduced)
-		if err != nil {
-			return err
-		}
-		if pd != rd {
-			return fmt.Errorf("model %q mode=%v workers=%d: symmetry digest %s != plain digest %s",
-				m.Name, mode, workers, rd, pd)
-		}
-		if report.CanonicalStates > plain.Stats().States {
-			return fmt.Errorf("model %q: %d canonical states exceed the %d full states",
-				m.Name, report.CanonicalStates, plain.Stats().States)
-		}
-		return nil
-	})
-}
-
-// mutateSafe applies 1..3 random replay-safe mutations to m — metadata
-// relabels and ACL policy edits — and describes them. None may change the
-// model's structure, so the resulting delta is never unsafe.
-func mutateSafe(rng *rand.Rand, m *dataflow.Model) string {
+// mutateMetadata applies 1..3 random metadata mutations to m — flow purpose
+// relabels and model renames — and describes them. None changes the model's
+// structure or policy, so the resulting delta is metadata or identical.
+func mutateMetadata(rng *rand.Rand, m *dataflow.Model) string {
 	desc := ""
-	stores := m.DatastoreIDs()
-	actors := m.ActorIDs()
-	fields := m.FieldUniverse()
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		switch rng.Intn(4) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			i := rng.Intn(len(m.Flows))
 			m.Flows[i].Purpose = fmt.Sprintf("mut-purpose-%d", rng.Intn(1000))
 			desc += fmt.Sprintf("[relabel flow %d]", i)
-		case 1:
+		} else {
 			m.Name += "-mutated"
 			desc += "[rename model]"
-		case 2:
-			a, s := actors[rng.Intn(len(actors))], stores[rng.Intn(len(stores))]
-			m.Policy = m.Policy.(*accesscontrol.ACL).WithoutActor(a, s)
-			desc += fmt.Sprintf("[revoke %s@%s]", a, s)
-		case 3:
-			g := accesscontrol.Grant{
-				Actor:       actors[rng.Intn(len(actors))],
-				Datastore:   stores[rng.Intn(len(stores))],
-				Fields:      []string{fields[rng.Intn(len(fields))]},
-				Permissions: []accesscontrol.Permission{accesscontrol.PermissionRead},
-				Reason:      "property-test grant",
-			}
-			if err := m.Policy.(*accesscontrol.ACL).Add(g); err == nil {
-				desc += fmt.Sprintf("[grant %s@%s]", g.Actor, g.Datastore)
-			}
 		}
 	}
 	return desc
 }
 
-// TestPropDeltaRegenMatchesCold: for any random model and any replay-safe
-// mutation of it, incremental regeneration from the previous trace produces
-// an LTS byte-identical to a cold generation of the mutated model, without
-// falling back.
+// mutatePolicy applies one ACL edit that changes at least one access answer:
+// it revokes every grant of an actor on a store the actor has a grant on, or
+// grants a read the policy does not yet allow. It returns "" when the model
+// offers no such edit.
+func mutatePolicy(rng *rand.Rand, m *dataflow.Model) string {
+	acl := m.Policy.(*accesscontrol.ACL)
+	perms := []accesscontrol.Permission{
+		accesscontrol.PermissionRead, accesscontrol.PermissionWrite, accesscontrol.PermissionDelete,
+	}
+	type cell struct{ actor, store, field string }
+	var granted, missing []cell
+	for _, a := range m.ActorIDs() {
+		for _, s := range m.DatastoreIDs() {
+			for _, f := range m.FieldUniverse() {
+				if !acl.Allows(a, s, f, accesscontrol.PermissionRead) {
+					missing = append(missing, cell{a, s, f})
+				}
+				for _, perm := range perms {
+					if acl.Allows(a, s, f, perm) {
+						granted = append(granted, cell{a, s, f})
+						break
+					}
+				}
+			}
+		}
+	}
+	if len(granted) > 0 && (len(missing) == 0 || rng.Intn(2) == 0) {
+		c := granted[rng.Intn(len(granted))]
+		m.Policy = acl.WithoutActor(c.actor, c.store)
+		return fmt.Sprintf("[revoke %s@%s]", c.actor, c.store)
+	}
+	if len(missing) == 0 {
+		return ""
+	}
+	c := missing[rng.Intn(len(missing))]
+	if err := acl.Add(accesscontrol.Grant{
+		Actor: c.actor, Datastore: c.store, Fields: []string{c.field},
+		Permissions: []accesscontrol.Permission{accesscontrol.PermissionRead},
+		Reason:      "property-test grant",
+	}); err != nil {
+		return ""
+	}
+	return fmt.Sprintf("[grant read %s@%s.%s]", c.actor, c.store, c.field)
+}
+
+// TestPropDeltaRegenMatchesCold: for any random model and any metadata
+// mutation of it, regeneration relabels the previous model without falling
+// back and produces an LTS byte-identical to a cold generation of the
+// mutated model.
 func TestPropDeltaRegenMatchesCold(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		before, after := modelPair(seed)
-		desc := mutateSafe(rng, after)
+		desc := mutateMetadata(rng, after)
 		opts := core.Options{PotentialReads: drawMode(rng), Workers: 1 + rng.Intn(4)}
 
 		gen := core.NewGenerator(opts)
-		prev, trace, _, err := gen.GenerateTracedContext(t.Context(), before)
+		prev, err := gen.GenerateContext(t.Context(), before)
 		if err != nil {
 			return fmt.Errorf("cold generate (before): %w", err)
 		}
-		got, _, report, err := gen.RegenerateContext(t.Context(), prev, trace, after)
+		got, report, err := gen.RegenerateContext(t.Context(), prev, after)
 		if err != nil {
 			return fmt.Errorf("regenerate %s: %w", desc, err)
 		}
 		if report.Fallback {
-			return fmt.Errorf("safe delta %s fell back: kind=%s reason=%q",
+			return fmt.Errorf("metadata delta %s fell back: kind=%s reason=%q",
 				desc, report.DeltaKind, report.FallbackReason)
 		}
-		cold, err := core.GenerateWithOptions(after, opts)
-		if err != nil {
-			return fmt.Errorf("cold generate (after): %w", err)
-		}
-		gd, err := digest(got)
-		if err != nil {
-			return err
-		}
-		cd, err := digest(cold)
-		if err != nil {
-			return err
-		}
-		if gd != cd {
-			return fmt.Errorf("mutations %s (kind=%s, %d affected readers): regenerated digest %s != cold digest %s",
-				desc, report.DeltaKind, report.AffectedReaders, gd, cd)
-		}
-		return nil
+		return requireColdDigest(got, after, opts, desc)
 	})
 }
 
+// requireColdDigest checks got against a cold generation of m.
+func requireColdDigest(got *core.PrivacyLTS, m *dataflow.Model, opts core.Options, desc string) error {
+	cold, err := core.GenerateWithOptions(m, opts)
+	if err != nil {
+		return fmt.Errorf("cold generate (after): %w", err)
+	}
+	gd, err := digest(got)
+	if err != nil {
+		return err
+	}
+	cd, err := digest(cold)
+	if err != nil {
+		return err
+	}
+	if gd != cd {
+		return fmt.Errorf("%s: regenerated digest %s != cold digest %s", desc, gd, cd)
+	}
+	return nil
+}
+
 // TestPropUnsafeDeltaFallsBack: any structural mutation must classify as an
-// unsafe delta, force regeneration back onto the full cold path, and still
-// produce output byte-identical to a cold generation of the changed model —
-// falling back never loses correctness.
+// unsafe delta and any effective policy edit as a policy delta; both force
+// regeneration back onto the full cold path, which must still produce output
+// byte-identical to a cold generation of the changed model — falling back
+// never loses correctness.
 func TestPropUnsafeDeltaFallsBack(t *testing.T) {
 	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
 		before, after := modelPair(seed)
 		var desc string
-		switch rng.Intn(3) {
+		wantKind := explore.DeltaUnsafe
+		switch rng.Intn(5) {
 		case 0:
 			after.Actors = append(after.Actors, dataflow.Actor{ID: "zz-extra", Name: "Extra"})
 			desc = "add actor"
@@ -209,40 +191,30 @@ func TestPropUnsafeDeltaFallsBack(t *testing.T) {
 			}
 			after.Flows = flows
 			desc = "remove datastore"
+		default:
+			if desc = mutatePolicy(rng, after); desc == "" {
+				return nil // no effective policy edit exists for this model
+			}
+			wantKind = explore.DeltaPolicy
 		}
 
-		if d := explore.Diff(before, after); d.Kind != explore.DeltaUnsafe {
-			return fmt.Errorf("%s classified as %s, want unsafe", desc, d.Kind)
+		if d := explore.Diff(before, after); d.Kind != wantKind {
+			return fmt.Errorf("%s classified as %s, want %s", desc, d.Kind, wantKind)
 		}
-		opts := core.Options{PotentialReads: drawMode(rng), Workers: 1}
+		opts := core.Options{PotentialReads: drawMode(rng), Workers: 1 + rng.Intn(4)}
 		gen := core.NewGenerator(opts)
-		prev, trace, _, err := gen.GenerateTracedContext(t.Context(), before)
+		prev, err := gen.GenerateContext(t.Context(), before)
 		if err != nil {
 			return fmt.Errorf("cold generate (before): %w", err)
 		}
-		got, _, report, err := gen.RegenerateContext(t.Context(), prev, trace, after)
+		got, report, err := gen.RegenerateContext(t.Context(), prev, after)
 		if err != nil {
 			return fmt.Errorf("regenerate after %s: %w", desc, err)
 		}
-		if report.Mode != "full" || !report.Fallback || report.FallbackReason == "" {
-			return fmt.Errorf("%s: mode=%q fallback=%v reason=%q, want a full fallback with a reason",
-				desc, report.Mode, report.Fallback, report.FallbackReason)
+		if !report.Fallback || report.FallbackReason == "" {
+			return fmt.Errorf("%s: fallback=%v reason=%q, want a full fallback with a reason",
+				desc, report.Fallback, report.FallbackReason)
 		}
-		cold, err := core.GenerateWithOptions(after, opts)
-		if err != nil {
-			return fmt.Errorf("cold generate (after): %w", err)
-		}
-		gd, err := digest(got)
-		if err != nil {
-			return err
-		}
-		cd, err := digest(cold)
-		if err != nil {
-			return err
-		}
-		if gd != cd {
-			return fmt.Errorf("%s: fallback digest %s != cold digest %s", desc, gd, cd)
-		}
-		return nil
+		return requireColdDigest(got, after, opts, desc)
 	})
 }

@@ -28,9 +28,8 @@ func newStateTable() *stateTable {
 	return &stateTable{entries: make([]tableEntry, initialTableSize), mask: initialTableSize - 1}
 }
 
-// HashWords hashes a packed state (FNV-1a over whole words). Exposed so
-// expanders and replay indexes hash states consistently with the driver.
-func HashWords(words []uint64) uint64 {
+// hashWords hashes a packed state (FNV-1a over whole words).
+func hashWords(words []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range words {
 		h ^= w

@@ -14,7 +14,7 @@ type BulkEdge struct {
 // (in Transitions order) instead of the receiver's label. Because the state
 // maps are shared, neither LTS may be mutated afterwards — the generated-LTS
 // contract. Incremental regeneration uses this to swap re-derived labels into
-// a wholesale-reused exploration without rebuilding any index.
+// a reused previous model without rebuilding any index.
 func (l *LTS) Relabeled(labels []Label) (*LTS, error) {
 	if len(labels) != len(l.transitions) {
 		return nil, fmt.Errorf("lts: Relabeled: %d labels for %d transitions", len(labels), len(l.transitions))

@@ -3,6 +3,7 @@ package modelstore_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -190,6 +191,45 @@ func TestPropModelStoreRoundTrip(t *testing.T) {
 			return err
 		}
 		requireSameModel(t, p, loaded, s.Profiles[0])
+		return nil
+	})
+}
+
+// TestPropEncodeIdenticalAcrossWorkers: the artifact of a generated model is
+// byte-identical for every exploration worker count. Encode dedups labels by
+// pointer, so this pins the label object graph — not just the serialised
+// LTS — to be independent of scheduling. Each round draws a random scenario
+// model under its own options and a synth grid model under the defaults.
+func TestPropEncodeIdenticalAcrossWorkers(t *testing.T) {
+	proptest.Run(t, func(seed int64, rng *rand.Rand) error {
+		s := scenario.Draw(seed)
+		grid := synth.Model(synth.ModelSpec{
+			Services: 1 + rng.Intn(3), FieldsPerService: 1 + rng.Intn(3),
+			ExtraActors: rng.Intn(2), Seed: seed,
+		})
+		for _, c := range []struct {
+			m    *dataflow.Model
+			opts core.Options
+		}{{s.Model, s.Opts}, {grid, core.Options{}}} {
+			var want []byte
+			for _, workers := range []int{1, 2, 4, 8} {
+				c.opts.Workers = workers
+				p, err := core.GenerateWithOptions(c.m, c.opts)
+				if err != nil {
+					return err
+				}
+				data, err := modelstore.Encode(p)
+				if err != nil {
+					return err
+				}
+				if want == nil {
+					want = data
+				} else if !bytes.Equal(data, want) {
+					return fmt.Errorf("model %q: artifact with %d workers (%d bytes) differs from 1 worker (%d bytes)",
+						c.m.Name, workers, len(data), len(want))
+				}
+			}
+		}
 		return nil
 	})
 }

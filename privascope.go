@@ -161,10 +161,6 @@ type (
 	// GenerateOptions configures LTS generation: flow ordering, potential
 	// reads, the state cap, and the number of parallel exploration workers.
 	GenerateOptions = core.Options
-	// ExploreOptions selects the exploration strategy (GenerateOptions.Explore):
-	// symmetry-reduced exploration visits one canonical representative per
-	// orbit of interchangeable actors and expands back to the identical LTS.
-	ExploreOptions = core.ExploreOptions
 	// Action is one of the six actions on personal data.
 	Action = core.Action
 	// StateVector is the set of Boolean state variables of a privacy state.
