@@ -10,8 +10,9 @@ N ?= $(shell git rev-list --count HEAD 2>/dev/null || echo 0)
 BENCH ?= .
 BENCHTIME ?= 2s
 # The benchmarks CI smokes on every push: the headline number of each
-# subsystem plus the compiled-vs-reference pairs this PR introduced.
-SMOKE_BENCH = LTSGeneration|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreIncremental
+# subsystem, the compiled-vs-reference pairs, and AssessLargeModel, the whole
+# design pipeline (model to rendered report) on the largest benchmark model.
+SMOKE_BENCH = LTSGeneration|AssessLargeModel|MonitorThroughput|ValueRiskPipeline|EngineAssessCached|AnalyzeCompiled|AnalyzeReference|MinimizeCompiled|MinimizeReference|ModelStoreLoad|ClusterIngest|ExploreIncremental
 # BASELINE is the perf-gate reference. It must be a like-for-like snapshot:
 # per-op numbers from a 1-iteration smoke run include un-amortised setup, so
 # they can only be compared against another 1-iteration run — never against

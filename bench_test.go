@@ -344,6 +344,47 @@ func BenchmarkEngineAssessCached(b *testing.B) {
 	})
 }
 
+// BenchmarkAssessLargeModel is the design pipeline on the largest benchmark
+// model (5 services of 3 fields: 15,625 states, 25,000 transitions): each
+// iteration builds a fresh one-worker Engine, assesses one user consenting to
+// three of the services and renders the report. One generation worker keeps
+// allocs/op independent of the CPU count, so the smoke gate can pin it.
+func BenchmarkAssessLargeModel(b *testing.B) {
+	model := synth.Model(synth.ModelSpec{Services: 5, FieldsPerService: 3})
+	var profile *privascope.UserProfile
+	population := synth.Population(model, synth.PopulationOptions{
+		Users: 64, Seed: 1, SensitiveFields: synth.SensitiveFieldsOf(model),
+	})
+	for i := range population {
+		if len(population[i].ConsentedServices) == 3 {
+			profile = &population[i]
+			break
+		}
+	}
+	if profile == nil {
+		b.Fatal("no profile consents to three services")
+	}
+	ctx := context.Background()
+	opts := privascope.EngineOptions{Generate: privascope.GenerateOptions{Workers: 1}}
+	assess := func() (*privascope.AssessResult, string) {
+		res, err := privascope.MustEngine(opts).Assess(ctx, model, *profile)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res, res.Report.Render()
+	}
+	res, text := assess()
+	if s, t := res.PrivacyModel.Graph.StateCount(), res.PrivacyModel.Graph.TransitionCount(); s != 15625 || t != 25000 {
+		b.Fatalf("model has %d states and %d transitions, want 15625 and 25000", s, t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, text = assess()
+	}
+	b.ReportMetric(float64(len(text)), "report-bytes")
+}
+
 // BenchmarkRiskAnalysisScaling sweeps the number of simulated users assessed
 // against one generated model — the per-user analysis the paper proposes to
 // run "with running users of the system, or with simulated users".

@@ -1,5 +1,7 @@
 package lts
 
+import "reflect"
+
 // Compiled is an immutable, cache-friendly compilation of an LTS: states are
 // renumbered to dense int32 indices (in insertion order), every distinct
 // label string is interned into a table exactly once, and the transitions are
@@ -38,8 +40,8 @@ type Compiled struct {
 }
 
 // Compile builds the CSR form of the LTS. Each distinct label string is
-// rendered exactly once into the interned table; analyses on the compiled
-// form never call LabelString again.
+// interned exactly once, and a label behind a pointer is rendered once per
+// pointer; analyses on the compiled form never call LabelString again.
 func Compile(l *LTS) *Compiled {
 	n := len(l.order)
 	m := len(l.transitions)
@@ -64,10 +66,22 @@ func Compile(l *LTS) *Compiled {
 	}
 
 	labelIDs := make(map[string]int32)
+	// Pointer labels (core interns one per distinct label content) are
+	// rendered once per pointer rather than once per transition. Every other
+	// label type interns by string alone: keying a map by the Label itself
+	// would panic on a non-comparable dynamic type.
+	pointerIDs := make(map[Label]int32)
 	for i := range c.trs {
 		t := &c.trs[i]
 		c.edgeFrom[i] = c.ids[t.From]
 		c.edgeTo[i] = c.ids[t.To]
+		isPtr := t.Label != nil && reflect.TypeOf(t.Label).Kind() == reflect.Pointer
+		if isPtr {
+			if lid, ok := pointerIDs[t.Label]; ok {
+				c.edgeLabel[i] = lid
+				continue
+			}
+		}
 		str := ""
 		if t.Label != nil {
 			str = t.Label.LabelString()
@@ -78,6 +92,9 @@ func Compile(l *LTS) *Compiled {
 			labelIDs[str] = lid
 			c.labels = append(c.labels, t.Label)
 			c.labelStrs = append(c.labelStrs, str)
+		}
+		if isPtr {
+			pointerIDs[t.Label] = lid
 		}
 		c.edgeLabel[i] = lid
 	}

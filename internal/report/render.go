@@ -47,28 +47,48 @@ func DisclosureAssessment(a *risk.Assessment) *Report {
 			orNone(strings.Join(a.AllowedActors, ", ")),
 			orNone(strings.Join(a.NonAllowedActors, ", "))))
 
+	// Impact and likelihood cells repeat a handful of (value, level) pairs
+	// across every finding, so each pair is formatted once per report.
+	type scored struct {
+		value float64
+		level risk.Level
+	}
+	scores := make(map[scored]string)
+	score := func(value float64, level risk.Level) string {
+		k := scored{value, level}
+		s, ok := scores[k]
+		if !ok {
+			s = fmt.Sprintf("%.2f (%s)", value, level)
+			scores[k] = s
+		}
+		return s
+	}
 	findings := NewTable("risk", "actor", "action", "datastore", "driving field", "impact", "likelihood", "explanation")
-	for _, f := range a.Findings {
+	findings.reserve(len(a.Findings))
+	for i := range a.Findings {
+		f := &a.Findings[i]
 		findings.AddRow(
 			f.Risk.String(),
 			f.Actor,
 			f.Action.String(),
 			f.Datastore,
 			f.DrivingField,
-			fmt.Sprintf("%.2f (%s)", f.Impact, f.ImpactLevel),
-			fmt.Sprintf("%.2f (%s)", f.Likelihood, f.LikelihoodLevel),
+			score(f.Impact, f.ImpactLevel),
+			score(f.Likelihood, f.LikelihoodLevel),
 			f.Explanation,
 		)
 	}
 	r.AddTable("Findings", fmt.Sprintf("Overall risk: %s", a.OverallRisk), findings)
 
 	mitigations := NewTable("actor", "risk", "suggested mitigation")
-	seen := make(map[string]bool)
-	for _, f := range a.Findings {
+	type advice struct{ actor, mitigation string }
+	seen := make(map[advice]bool)
+	for i := range a.Findings {
+		f := &a.Findings[i]
 		if f.Risk < risk.LevelMedium || f.Mitigation == "" {
 			continue
 		}
-		key := f.Actor + "|" + f.Mitigation
+		key := advice{f.Actor, f.Mitigation}
 		if seen[key] {
 			continue
 		}

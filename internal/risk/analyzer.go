@@ -287,6 +287,19 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 	slots := make([]exposure, len(actors))
 	epoch := uint32(0)
 
+	// The edge loop records each finding as a compact record; the wide
+	// Finding structs are materialised once, in sorted order, into an
+	// exactly sized slice.
+	type record struct {
+		edge         int32
+		actor        int32
+		driving      int32
+		serviceClass bool
+		risk         Level
+		impact       float64
+	}
+	var recs []record
+
 	numEdges := view.Graph.NumEdges()
 	for e := 0; e < numEdges; e++ {
 		// Poll between transitions, spaced out so the atomic load never
@@ -341,14 +354,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 		// reads and mere exposure fall under the remaining scenarios
 		// (accidental access, maintenance exposure).
 		consented := label.Service != "" && consentedSet[label.Service]
-		tr := view.Graph.TransitionAt(int32(e))
-		fieldsJoined := view.FieldsJoined(int32(e))
-		fieldSet, ok := fieldSets[label]
-		if !ok {
-			fieldSet = label.FieldSet()
-			fieldSets[label] = fieldSet
-		}
-		lid := view.Graph.LabelID(int32(e))
 		for ai := range slots {
 			slot := &slots[ai]
 			if slot.stamp != epoch {
@@ -356,83 +361,84 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *core.PrivacyLTS, profi
 			}
 			serviceClass := !label.Potential && slot.identified && !consented
 			likelihood := a.otherLikelihood
-			scenarioNames := a.otherScenarios
 			if serviceClass {
 				likelihood = a.serviceLikelihood
-				scenarioNames = a.serviceScenarios
 			}
-
-			impactLevel := a.cfg.Matrix.ImpactLevel(slot.impact)
-			likelihoodLevel := a.cfg.Matrix.LikelihoodLevel(likelihood)
-			riskLevel := a.cfg.Matrix.Risk(impactLevel, likelihoodLevel)
-
-			finding := Finding{
-				Transition:      tr,
-				Action:          label.Action,
-				Actor:           actors[ai],
-				PerformedBy:     label.Actor,
-				Datastore:       label.Datastore,
-				Fields:          fieldSet,
-				Potential:       label.Potential,
-				Service:         label.Service,
-				DrivingField:    fields[slot.driving],
-				Impact:          slot.impact,
-				ImpactLevel:     impactLevel,
-				Likelihood:      likelihood,
-				LikelihoodLevel: likelihoodLevel,
-				Scenarios:       scenarioNames,
-				Risk:            riskLevel,
-			}
-			key := reportKey{label: lid, actor: int32(ai), driving: slot.driving,
-				service: label.Service, serviceClass: serviceClass}
-			text, ok := reports[key]
-			if !ok {
-				text = reportText{
-					explanation: a.explain(&finding, fieldsJoined, rc),
-					mitigation:  a.suggestMitigation(&finding, rc),
-				}
-				reports[key] = text
-			}
-			finding.Explanation = text.explanation
-			finding.Mitigation = text.mitigation
-			assessment.Findings = append(assessment.Findings, finding)
-			if finding.Risk > assessment.OverallRisk {
-				assessment.OverallRisk = finding.Risk
+			riskLevel := a.cfg.Matrix.Risk(a.cfg.Matrix.ImpactLevel(slot.impact),
+				a.cfg.Matrix.LikelihoodLevel(likelihood))
+			recs = append(recs, record{edge: int32(e), actor: int32(ai), driving: slot.driving,
+				serviceClass: serviceClass, risk: riskLevel, impact: slot.impact})
+			if riskLevel > assessment.OverallRisk {
+				assessment.OverallRisk = riskLevel
 			}
 		}
 	}
 
-	// Order by decreasing risk, then impact, then actor. Sorting a
-	// permutation of indices and materialising once moves 4-byte ints
-	// through the sort instead of the wide Finding structs; the stable
-	// index sort reproduces sort.SliceStable's order exactly.
-	if n := len(assessment.Findings); n > 1 {
-		findings := assessment.Findings
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		slices.SortStableFunc(perm, func(i, j int32) int {
-			fi, fj := &findings[i], &findings[j]
-			if fi.Risk != fj.Risk {
-				if fi.Risk > fj.Risk {
-					return -1
-				}
-				return 1
+	// Order by decreasing risk, then impact, then actor; the stable sort
+	// keeps edge order among ties.
+	slices.SortStableFunc(recs, func(ri, rj record) int {
+		if ri.risk != rj.risk {
+			if ri.risk > rj.risk {
+				return -1
 			}
-			if fi.Impact != fj.Impact {
-				if fi.Impact > fj.Impact {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(fi.Actor, fj.Actor)
-		})
-		sorted := make([]Finding, n)
-		for i, p := range perm {
-			sorted[i] = findings[p]
+			return 1
 		}
-		assessment.Findings = sorted
+		if ri.impact != rj.impact {
+			if ri.impact > rj.impact {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(actors[ri.actor], actors[rj.actor])
+	})
+
+	if len(recs) > 0 {
+		assessment.Findings = make([]Finding, len(recs))
+	}
+	for i := range recs {
+		r := &recs[i]
+		label := view.Label(r.edge)
+		fieldSet, ok := fieldSets[label]
+		if !ok {
+			fieldSet = label.FieldSet()
+			fieldSets[label] = fieldSet
+		}
+		likelihood := a.otherLikelihood
+		scenarioNames := a.otherScenarios
+		if r.serviceClass {
+			likelihood = a.serviceLikelihood
+			scenarioNames = a.serviceScenarios
+		}
+		f := &assessment.Findings[i]
+		*f = Finding{
+			Transition:      view.Graph.TransitionAt(r.edge),
+			Action:          label.Action,
+			Actor:           actors[r.actor],
+			PerformedBy:     label.Actor,
+			Datastore:       label.Datastore,
+			Fields:          fieldSet,
+			Potential:       label.Potential,
+			Service:         label.Service,
+			DrivingField:    fields[r.driving],
+			Impact:          r.impact,
+			ImpactLevel:     a.cfg.Matrix.ImpactLevel(r.impact),
+			Likelihood:      likelihood,
+			LikelihoodLevel: a.cfg.Matrix.LikelihoodLevel(likelihood),
+			Scenarios:       scenarioNames,
+			Risk:            r.risk,
+		}
+		key := reportKey{label: view.Graph.LabelID(r.edge), actor: r.actor, driving: r.driving,
+			service: label.Service, serviceClass: r.serviceClass}
+		text, ok := reports[key]
+		if !ok {
+			text = reportText{
+				explanation: a.explain(f, view.FieldsJoined(r.edge), rc),
+				mitigation:  a.suggestMitigation(f, rc),
+			}
+			reports[key] = text
+		}
+		f.Explanation = text.explanation
+		f.Mitigation = text.mitigation
 	}
 	return assessment, nil
 }
